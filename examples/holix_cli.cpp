@@ -20,10 +20,11 @@
 /// GetStats) and prints the human-readable one-pager: every holix_*
 /// counter/gauge/histogram plus the recent-query trace ring.
 ///
-/// `query` is the protocol-v3 declarative form: a conjunction of range
-/// predicates (each one cracks its own index server-side) answered with
-/// any mix of count / per-column sums / rowids in one round trip; with no
-/// result keyword it defaults to `count`.
+/// Every read command sends one ExecuteQuery frame. `query` is the general
+/// form: a conjunction of range predicates (each one cracks its own index
+/// server-side) answered with any mix of count / per-column sums / rowids
+/// in one round trip; with no result keyword it defaults to `count`.
+/// `count`, `sum`, `select` and `psum` are its one-predicate shorthands.
 ///
 /// Bounds and values are typed: a token that parses as a plain integer is
 /// sent as an int64 scalar, anything else ("2.5", "1e9", "inf", "nan") as
@@ -66,6 +67,23 @@ void PrintScalar(const KeyScalar& s) {
     std::printf("%.17g\n", s.d);
   } else {
     std::printf("%lld\n", static_cast<long long>(s.i));
+  }
+}
+
+/// Prints one line per requested result: a scalar, or for rowids the
+/// count plus the first few ids.
+void PrintResults(const std::vector<holix::net::QueryResultSpecWire>& results,
+                  const holix::net::ExecuteQueryResult& res) {
+  for (size_t i = 0; i < results.size() && i < res.values.size(); ++i) {
+    if (results[i].kind == 2) {
+      std::printf("%zu rowids", res.rowids.size());
+      for (size_t j = 0; j < res.rowids.size() && j < 8; ++j) {
+        std::printf(" %llu", static_cast<unsigned long long>(res.rowids[j]));
+      }
+      std::printf(res.rowids.size() > 8 ? " ...\n" : "\n");
+    } else {
+      PrintScalar(res.values[i]);
+    }
   }
 }
 
@@ -175,31 +193,31 @@ int main(int argc, char** argv) {
         PrintHelp();
       } else if (cmd == "stats") {
         std::printf("%s", holix::obs::HumanText(client.GetStats()).c_str());
-      } else if (cmd == "count" || cmd == "sum" || cmd == "select") {
-        std::string table, column, lo_tok, hi_tok;
+      } else if (cmd == "count" || cmd == "sum" || cmd == "select" ||
+                 cmd == "psum") {
+        // Each is a one-predicate ExecuteQuery; psum names its projected
+        // column between the predicate column and the bounds.
+        std::string table, column, proj_col, lo_tok, hi_tok;
         KeyScalar low, high;
-        if (!(in >> table >> column >> lo_tok >> hi_tok) ||
-            !ParseScalar(lo_tok, &low) || !ParseScalar(hi_tok, &high)) {
-          std::printf("usage: %s <table> <column> <low> <high>\n",
-                      cmd.c_str());
+        const bool psum = cmd == "psum";
+        if (!(in >> table >> column) || (psum && !(in >> proj_col)) ||
+            !(in >> lo_tok >> hi_tok) || !ParseScalar(lo_tok, &low) ||
+            !ParseScalar(hi_tok, &high)) {
+          if (psum) {
+            std::printf("usage: psum <table> <where> <proj> <low> <high>\n");
+          } else {
+            std::printf("usage: %s <table> <column> <low> <high>\n",
+                        cmd.c_str());
+          }
           continue;
         }
-        if (cmd == "count") {
-          std::printf("%llu\n",
-                      static_cast<unsigned long long>(client.CountRangeScalar(
-                          session, table, column, low, high)));
-        } else if (cmd == "sum") {
-          PrintScalar(
-              client.SumRangeScalar(session, table, column, low, high));
-        } else {
-          const auto rowids =
-              client.SelectRowIdsScalar(session, table, column, low, high);
-          std::printf("%zu rowids", rowids.size());
-          for (size_t i = 0; i < rowids.size() && i < 8; ++i) {
-            std::printf(" %llu", static_cast<unsigned long long>(rowids[i]));
-          }
-          std::printf(rowids.size() > 8 ? " ...\n" : "\n");
-        }
+        holix::net::QueryResultSpecWire result{0, ""};
+        if (cmd == "sum") result = {1, column};
+        if (cmd == "select") result = {2, ""};
+        if (psum) result = {3, proj_col};
+        PrintResults({result}, client.ExecuteQuery(session, table,
+                                                   {{column, low, high}},
+                                                   {result}));
       } else if (cmd == "query") {
         std::string table;
         std::vector<holix::net::QueryPredicateWire> preds;
@@ -210,29 +228,8 @@ int main(int argc, char** argv) {
               " [count] [sum <col>] [psum <col>] [rowids]\n");
           continue;
         }
-        const auto res = client.ExecuteQuery(session, table, preds, results);
-        for (size_t i = 0; i < results.size() && i < res.values.size(); ++i) {
-          if (results[i].kind == 2) {
-            std::printf("%zu rowids", res.rowids.size());
-            for (size_t j = 0; j < res.rowids.size() && j < 8; ++j) {
-              std::printf(" %llu",
-                          static_cast<unsigned long long>(res.rowids[j]));
-            }
-            std::printf(res.rowids.size() > 8 ? " ...\n" : "\n");
-          } else {
-            PrintScalar(res.values[i]);
-          }
-        }
-      } else if (cmd == "psum") {
-        std::string table, where_col, proj_col, lo_tok, hi_tok;
-        KeyScalar low, high;
-        if (!(in >> table >> where_col >> proj_col >> lo_tok >> hi_tok) ||
-            !ParseScalar(lo_tok, &low) || !ParseScalar(hi_tok, &high)) {
-          std::printf("usage: psum <table> <where> <proj> <low> <high>\n");
-          continue;
-        }
-        PrintScalar(client.ProjectSumScalar(session, table, where_col,
-                                            proj_col, low, high));
+        PrintResults(results,
+                     client.ExecuteQuery(session, table, preds, results));
       } else if (cmd == "insert" || cmd == "delete") {
         std::string table, column, val_tok;
         KeyScalar value;

@@ -61,15 +61,16 @@ int main() {
   }
 
   // Async submission: overlap a batch of counts through the client pool.
-  std::vector<std::future<size_t>> batch;
-  for (size_t a = 0; a < handles.size(); ++a) {
-    batch.push_back(
-        session.SubmitCountRange(handles[a], 0, domain / 2));
+  std::vector<std::future<QueryResult>> batch;
+  for (const ColumnHandle& h : handles) {
+    QuerySpec count;
+    count.Where(h, 0, domain / 2).Count();
+    batch.push_back(session.SubmitExecute(std::move(count)));
   }
-  size_t below_half = 0;
-  for (auto& f : batch) below_half += f.get();
-  std::printf("\nasync batch: %zu values below domain/2 across 3 attributes\n",
-              below_half);
+  int64_t below_half = 0;
+  for (auto& f : batch) below_half += f.get().values[0].i;
+  std::printf("\nasync batch: %lld values below domain/2 across 3 attributes\n",
+              static_cast<long long>(below_half));
 
   if (auto* engine = db.holistic()) {
     std::printf("holistic engine: %llu refinement steps, %llu cracks, "

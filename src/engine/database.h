@@ -117,14 +117,6 @@ class Database {
 
   size_t CountRangeScalar(const ColumnHandle& column, KeyScalar low,
                           KeyScalar high, const QueryContext& qctx = {});
-  /// Shared scan: counts[i] answers ranges[i] over ONE column, computed in
-  /// a single pass (cracking modes crack the union of the bounds once).
-  /// Bit-equal to per-range CountRangeScalar calls; the network server's
-  /// coalescer batches concurrent same-column count requests into this.
-  std::vector<uint64_t> CountRangeBatchScalar(
-      const ColumnHandle& column,
-      const std::vector<std::pair<KeyScalar, KeyScalar>>& ranges,
-      const QueryContext& qctx = {});
   /// Result carrier follows the column type (double columns sum to f64).
   KeyScalar SumRangeScalar(const ColumnHandle& column, KeyScalar low,
                            KeyScalar high, const QueryContext& qctx = {});

@@ -111,20 +111,6 @@ bool Session::DeleteF64(const ColumnHandle& column, double value) {
   return db_->DeleteF64(column, value, QueryContext{&rng_});
 }
 
-std::future<size_t> Session::SubmitCountRange(ColumnHandle column,
-                                              int64_t low, int64_t high) {
-  Database* db = db_;
-  auto task = std::make_shared<std::packaged_task<size_t()>>(
-      // Thread-local pivot RNG on the pool thread: the session RNG is not
-      // shared across threads.
-      [db, column = std::move(column), low, high] {
-        return db->CountRange(column, low, high, QueryContext{});
-      });
-  std::future<size_t> fut = task->get_future();
-  db_->client_pool().Submit([task] { (*task)(); });
-  return fut;
-}
-
 std::future<QueryResult> Session::SubmitExecute(QuerySpec spec) {
   Database* db = db_;
   auto task = std::make_shared<std::packaged_task<QueryResult()>>(
@@ -136,18 +122,6 @@ std::future<QueryResult> Session::SubmitExecute(QuerySpec spec) {
 
 void Session::SubmitRaw(std::function<void()> work) {
   db_->client_pool().Submit(std::move(work));
-}
-
-std::future<int64_t> Session::SubmitSumRange(ColumnHandle column, int64_t low,
-                                             int64_t high) {
-  Database* db = db_;
-  auto task = std::make_shared<std::packaged_task<int64_t()>>(
-      [db, column = std::move(column), low, high] {
-        return db->SumRange(column, low, high, QueryContext{});
-      });
-  std::future<int64_t> fut = task->get_future();
-  db_->client_pool().Submit([task] { (*task)(); });
-  return fut;
 }
 
 }  // namespace holix

@@ -128,15 +128,11 @@ class Session {
 
   // --- Asynchronous query API --------------------------------------------
 
-  /// Submits the query to the database's client pool and returns a future.
-  /// The session (and database) must outlive the future's completion.
-  std::future<size_t> SubmitCountRange(ColumnHandle column, int64_t low,
-                                       int64_t high);
-  /// Async QuerySpec execution (the spec is copied into the task; a pool
-  /// thread uses its thread-local pivot RNG, like every Submit*).
+  /// Submits \p spec to the database's client pool and returns a future
+  /// (the spec is copied into the task; a pool thread uses its
+  /// thread-local pivot RNG). The session (and database) must outlive the
+  /// future's completion.
   std::future<QueryResult> SubmitExecute(QuerySpec spec);
-  std::future<int64_t> SubmitSumRange(ColumnHandle column, int64_t low,
-                                      int64_t high);
 
   /// Completion-hook submission: hands \p work to the database's client
   /// pool as-is. This is how the network server attaches continuations

@@ -18,28 +18,28 @@
 /// cause the decoder to over-allocate (lengths are validated against hard
 /// caps and against the actual bytes available before any buffer grows).
 ///
-/// Since version 2 every query bound, update value and sum result travels
-/// as a *typed scalar*: a u8 kind tag (0 = int64, 1 = double) followed by
-/// 8 payload bytes (two's-complement LE, or IEEE-754 bits LE). SumRange /
-/// ProjectSum over a double column therefore return genuine doubles over
-/// the wire, and clients can express double predicates (including the NaN
-/// key and the infinities) without loss. A kind tag above 1 rejects the
-/// frame.
+/// Since version 2 every query bound, update value and query result
+/// travels as a *typed scalar*: a u8 kind tag (0 = int64, 1 = double)
+/// followed by 8 payload bytes (two's-complement LE, or IEEE-754 bits LE).
+/// A sum over a double column therefore returns a genuine double over the
+/// wire, and clients can express double predicates (including the NaN key
+/// and the infinities) without loss. A kind tag above 1 rejects the frame.
 ///
-/// Version 3 adds the generic ExecuteQuery frame: one request carries a
+/// ExecuteQuery (version 3) is the only read frame: one request carries a
 /// conjunction of 1..kMaxQueryPredicates typed range predicates plus
 /// 1..kMaxQueryResults result requests (count / per-column sums /
 /// rowids), so a multi-predicate TPC-H-Q6-shaped query runs in one round
 /// trip and cracks every predicate column server-side. Predicate and
 /// result counts are validated against their caps BEFORE any allocation,
-/// like every other length in the protocol. The per-primitive query
-/// frames below (CountRange/SumRange/ProjectSum/SelectRowIds) are
-/// one-predicate special cases of ExecuteQuery — deprecated-but-served:
-/// a v3 peer may keep sending them and the server answers them (the
-/// in-tree HolixClient conveniences still do), but new protocol features
-/// land on ExecuteQuery alone. The handshake stays strict as with every
-/// version bump: a pre-v3 client is rejected at Hello, so "served" means
-/// served to same-version peers, not cross-version compatibility.
+/// like every other length in the protocol. Version 4 adds the GetStats
+/// telemetry frame. Version 5 retires the per-primitive read frames
+/// (types 7-14: CountRange/SumRange/ProjectSum/SelectRowIds and their
+/// results), which were one-predicate special cases of ExecuteQuery. Their
+/// numbers stay unassigned and are never reused: such a frame still
+/// parses as a frame, and the server answers it with a kUnknownMessage
+/// Error without closing the connection. The handshake stays strict as
+/// with every version bump: a peer speaking another version is rejected
+/// at Hello.
 
 #pragma once
 
@@ -63,7 +63,9 @@ inline constexpr uint32_t kMagic = 0x484C5850;
 /// v2: typed scalars (int64/double) in range bounds, update values and
 /// sum results. v3: the generic multi-predicate ExecuteQuery frame.
 /// v4: the GetStats telemetry frame (metrics snapshot + query traces).
-inline constexpr uint16_t kProtocolVersion = 4;
+/// v5: the per-primitive read frames (types 7-14) retired; ExecuteQuery
+/// is the only read frame.
+inline constexpr uint16_t kProtocolVersion = 5;
 /// Hard cap on one frame's payload (validated before allocation). Large
 /// enough for a 2M-rowid select result, small enough that a malformed
 /// length can never balloon memory.
@@ -90,19 +92,8 @@ enum class MsgType : uint8_t {
   kOpenSessionAck = 4,
   kCloseSession = 5,
   kCloseSessionAck = 6,
-  // The four per-primitive query requests (7/9/11/13) are deprecated in
-  // favour of kExecuteQuery: still decoded and served for v3 peers (the
-  // HolixClient convenience calls keep speaking them), but they express
-  // only one-predicate queries — new protocol features land on
-  // kExecuteQuery alone.
-  kCountRange = 7,
-  kCountResult = 8,
-  kSumRange = 9,
-  kSumResult = 10,
-  kProjectSum = 11,
-  kProjectSumResult = 12,
-  kSelectRowIds = 13,
-  kRowIdsResult = 14,
+  // 7-14 carried the per-primitive read frames retired in v5 (ExecuteQuery
+  // replaces them). The numbers stay unassigned and must not be reused.
   kInsert = 15,
   kInsertResult = 16,
   kDelete = 17,
@@ -270,75 +261,6 @@ struct CloseSessionAck {
   bool Decode(WireReader&) { return true; }
 };
 
-/// Shared shape of the four single-attribute range requests. Bounds are
-/// typed scalars: int64 carriers clamp exactly into any column's domain,
-/// double carriers express floating-point predicates.
-struct RangeReqBody {
-  uint64_t session_id = 0;
-  std::string table;
-  std::string column;
-  KeyScalar low;
-  KeyScalar high;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct CountRangeReq : RangeReqBody {
-  static constexpr MsgType kType = MsgType::kCountRange;
-};
-
-struct SumRangeReq : RangeReqBody {
-  static constexpr MsgType kType = MsgType::kSumRange;
-};
-
-struct SelectRowIdsReq : RangeReqBody {
-  static constexpr MsgType kType = MsgType::kSelectRowIds;
-};
-
-struct ProjectSumReq {
-  static constexpr MsgType kType = MsgType::kProjectSum;
-  uint64_t session_id = 0;
-  std::string table;
-  std::string where_column;
-  std::string project_column;
-  KeyScalar low;
-  KeyScalar high;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct CountResult {
-  static constexpr MsgType kType = MsgType::kCountResult;
-  uint64_t count = 0;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-/// The sum's carrier follows the summed column's type: int64 columns
-/// answer i64 scalars, double columns answer f64 scalars.
-struct SumResult {
-  static constexpr MsgType kType = MsgType::kSumResult;
-  KeyScalar sum;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct ProjectSumResult {
-  static constexpr MsgType kType = MsgType::kProjectSumResult;
-  KeyScalar sum;
-  void Encode(WireWriter& w) const;
-  bool Decode(WireReader& r);
-};
-
-struct RowIdsResult {
-  static constexpr MsgType kType = MsgType::kRowIdsResult;
-  std::vector<uint64_t> rowids;
-  void Encode(WireWriter& w) const;
-  /// Validates the u32 element count against the bytes actually present
-  /// before reserving anything.
-  bool Decode(WireReader& r);
-};
-
 struct InsertReq {
   static constexpr MsgType kType = MsgType::kInsert;
   uint64_t session_id = 0;
@@ -383,7 +305,7 @@ struct ErrorMsg {
 
 /// One wire conjunct of an ExecuteQuery: low <= column < high with typed
 /// scalar bounds (the engine's closed-bound degradation applies at the
-/// order's top, exactly as in the one-predicate range requests).
+/// order's top, exactly as in the in-process QuerySpec).
 struct QueryPredicateWire {
   std::string column;
   KeyScalar low;

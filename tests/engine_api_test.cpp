@@ -264,18 +264,21 @@ TEST(EngineApi, AsyncSubmitThroughClientPool) {
   db.LoadColumn("r", "a", data);
   Session s = db.OpenSession();
   const ColumnHandle h = s.Handle("r", "a");
-  std::vector<std::future<size_t>> counts;
+  std::vector<std::future<QueryResult>> counts;
   std::vector<std::pair<int64_t, int64_t>> ranges;
   Rng rng(45);
   for (int i = 0; i < 16; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
     ranges.emplace_back(lo, hi);
-    counts.push_back(s.SubmitCountRange(h, lo, hi));
+    QuerySpec spec;
+    spec.Where(h, lo, hi).Count();
+    counts.push_back(s.SubmitExecute(std::move(spec)));
   }
   for (size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].get(),
-              NaiveCount(data, ranges[i].first, ranges[i].second))
+    EXPECT_EQ(counts[i].get().values[0].i,
+              static_cast<int64_t>(
+                  NaiveCount(data, ranges[i].first, ranges[i].second)))
         << "async query " << i;
   }
 }

@@ -1,8 +1,9 @@
 /// Loopback tests of the network service layer: lifecycle, handshake
 /// version enforcement, malformed-stream handling, error frames that keep
-/// the connection alive, concurrent socket clients whose mixed
-/// read/insert results checksum-match an in-process session run, pipelined
-/// out-of-order completion, and clean shutdown draining in-flight queries.
+/// the connection alive (including the retired read frames), concurrent
+/// socket clients whose mixed read/insert results checksum-match an
+/// in-process session run, pipelined out-of-order completion, per-query
+/// telemetry of wire reads, and clean shutdown draining in-flight queries.
 
 #include <gtest/gtest.h>
 
@@ -136,13 +137,16 @@ TEST(Server, SyncQueriesMatchInProcessSession) {
   for (int i = 0; i < 32; ++i) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
-    ASSERT_EQ(client.CountRange(sid, "r", "a", lo, hi),
+    ASSERT_EQ(test::WireCount(client, sid, "r", "a", lo, hi),
               inproc.CountRange("r", "a", lo, hi))
         << "query " << i;
   }
-  EXPECT_EQ(client.SumRange(sid, "r", "a", 100, 90000),
+  EXPECT_EQ(test::WireQuery(client, sid, "r", "a", 100, 90000, {1, "a"})
+                .values[0]
+                .i,
             inproc.SumRange("r", "a", 100, 90000));
-  const auto rowids = client.SelectRowIds(sid, "r", "a", 100, 9000);
+  const auto rowids =
+      test::WireQuery(client, sid, "r", "a", 100, 9000, {2, ""}).rowids;
   EXPECT_EQ(rowids.size(), inproc.SelectRowIds(
                                inproc.Handle("r", "a"), 100, 9000).size());
   client.CloseSession(sid);
@@ -166,16 +170,19 @@ TEST(Server, ProjectSumAndUpdatesOverTheWire) {
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i] >= 100 && a[i] < 90000) naive += b[i];
   }
-  EXPECT_EQ(client.ProjectSum(sid, "r", "a", "b", 100, 90000), naive);
+  EXPECT_EQ(test::WireQuery(client, sid, "r", "a", 100, 90000, {3, "b"})
+                .values[0]
+                .i,
+            naive);
 
   // Insert outside the base domain, read it back, delete it.
   const int64_t band = int64_t{1} << 21;
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 0u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", band, band + 10), 0u);
   client.Insert(sid, "r", "a", band + 5);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 1u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", band, band + 10), 1u);
   EXPECT_TRUE(client.Delete(sid, "r", "a", band + 5));
   EXPECT_FALSE(client.Delete(sid, "r", "a", band + 5));
-  EXPECT_EQ(client.CountRange(sid, "r", "a", band, band + 10), 0u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", band, band + 10), 0u);
   server.Stop();
 }
 
@@ -200,14 +207,16 @@ TEST(Server, DoubleColumnTypedScalarsOverTheWire) {
   for (int i = 0; i < 16; ++i) {
     const double lo = static_cast<double>(rng.Below(kDomain)) + 0.25;
     const double hi = lo + 1.0 + static_cast<double>(rng.Below(kDomain / 4));
-    ASSERT_EQ(client.CountRangeF64(sid, "r", "price", lo, hi),
+    ASSERT_EQ(test::WireCount(client, sid, "r", "price", lo, hi),
               inproc.CountRangeF64("r", "price", lo, hi))
         << "query " << i;
   }
   // The sum travels as an f64 scalar and matches in-process bit-for-bit
   // (same engine, same physical order).
-  const KeyScalar wire_sum = client.SumRangeScalar(
-      sid, "r", "price", KeyScalar::F64(100.5), KeyScalar::F64(90000.5));
+  const KeyScalar wire_sum =
+      test::WireQuery(client, sid, "r", "price", KeyScalar::F64(100.5),
+                      KeyScalar::F64(90000.5), {1, "price"})
+          .values[0];
   ASSERT_TRUE(wire_sum.is_f64());
   EXPECT_EQ(wire_sum.d, inproc.SumRangeF64("r", "price", 100.5, 90000.5));
 
@@ -215,14 +224,14 @@ TEST(Server, DoubleColumnTypedScalarsOverTheWire) {
   // the closed upgrade at the NaN key, then delete them.
   client.InsertF64(sid, "r", "price", nan);
   client.InsertF64(sid, "r", "price", kInf);
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", kInf, nan), 2u);
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", nan, nan), 1u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", kInf, nan), 2u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", nan, nan), 1u);
   EXPECT_TRUE(client.DeleteF64(sid, "r", "price", nan));
   EXPECT_TRUE(client.DeleteF64(sid, "r", "price", kInf));
-  EXPECT_EQ(client.CountRangeF64(sid, "r", "price", kInf, nan), 0u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", kInf, nan), 0u);
 
   // int64 bounds against the double column clamp exactly too.
-  EXPECT_EQ(client.CountRange(sid, "r", "price", 100, 90000),
+  EXPECT_EQ(test::WireCount(client, sid, "r", "price", 100, 90000),
             inproc.CountRange("r", "price", 100, 90000));
   server.Stop();
 }
@@ -288,12 +297,12 @@ TEST(Server, QueryErrorsKeepTheConnectionAlive) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
   // Unknown column -> error frame, connection stays usable.
-  EXPECT_THROW(client.CountRange(sid, "r", "nope", 0, 10),
+  EXPECT_THROW(test::WireCount(client, sid, "r", "nope", 0, 10),
                std::runtime_error);
   // Unknown session -> error frame, connection stays usable.
-  EXPECT_THROW(client.CountRange(sid + 999, "r", "a", 0, 10),
+  EXPECT_THROW(test::WireCount(client, sid + 999, "r", "a", 0, 10),
                std::runtime_error);
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), 10000u);
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 0, kDomain), 10000u);
   server.Stop();
 }
 
@@ -312,7 +321,7 @@ TEST(Server, SessionCapRejectsExcessOpens) {
   // Closing one frees a slot; the connection stays healthy throughout.
   client.CloseSession(s1);
   const uint64_t s3 = client.OpenSession();
-  EXPECT_EQ(client.CountRange(s3, "r", "a", 0, kDomain), 1000u);
+  EXPECT_EQ(test::WireCount(client, s3, "r", "a", 0, kDomain), 1000u);
   server.Stop();
 }
 
@@ -334,11 +343,11 @@ TEST(Server, PipelinedRequestsCompleteOutOfOrderById) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(test::SendWireCount(client, sid, "r", "a", lo, hi));
   }
   // Await in reverse order: responses must match by id, not arrival.
   for (size_t i = ids.size(); i-- > 0;) {
-    EXPECT_EQ(client.AwaitCount(ids[i]),
+    EXPECT_EQ(test::AwaitWireCount(client, ids[i]),
               inproc.CountRange("r", "a", ranges[i].first, ranges[i].second))
         << "request " << i;
   }
@@ -482,7 +491,7 @@ TEST(Server, ConcurrentClientsMixedReadsAndInsertsChecksumMatch) {
         const int64_t hi =
             lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 8));
         // Base-domain reads are unaffected by the out-of-band inserts.
-        if (client.CountRange(sid, "r", "a", lo, hi) !=
+        if (test::WireCount(client, sid, "r", "a", lo, hi) !=
             test::NaiveCount(data, lo, hi)) {
           failures.fetch_add(1);
         }
@@ -500,7 +509,7 @@ TEST(Server, ConcurrentClientsMixedReadsAndInsertsChecksumMatch) {
   Session inproc = db.OpenSession();
   for (int c = 0; c < kClients; ++c) {
     const int64_t lo = kBandBase + c * 1000;
-    EXPECT_EQ(verify.CountRange(vsid, "r", "a", lo, lo + kOpsPerClient),
+    EXPECT_EQ(test::WireCount(verify, vsid, "r", "a", lo, lo + kOpsPerClient),
               static_cast<size_t>(kOpsPerClient))
         << "client " << c;
     EXPECT_EQ(inproc.CountRange("r", "a", lo, lo + kOpsPerClient),
@@ -532,17 +541,17 @@ TEST(Server, StopDrainsInFlightPipelinedQueries) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(test::SendWireCount(client, sid, "r", "a", lo, hi));
   }
   // Anchor: the first response proves the server is mid-stream before the
   // concurrent Stop() begins.
-  EXPECT_EQ(client.AwaitCount(ids[0]),
+  EXPECT_EQ(test::AwaitWireCount(client, ids[0]),
             test::NaiveCount(data, ranges[0].first, ranges[0].second));
   std::thread stopper([&] { server.Stop(); });
   size_t answered = 1;
   for (size_t i = 1; i < ids.size(); ++i) {
     try {
-      EXPECT_EQ(client.AwaitCount(ids[i]),
+      EXPECT_EQ(test::AwaitWireCount(client, ids[i]),
                 test::NaiveCount(data, ranges[i].first, ranges[i].second))
           << "request " << i;
       ++answered;
@@ -580,18 +589,18 @@ TEST(Server, OneBytePerSendReassemblesFrames) {
   OpenSessionAck open;
   ASSERT_TRUE(DecodeMessage(ack, &open));
 
-  CountRangeReq req;
+  ExecuteQueryReq req;
   req.session_id = open.session_id;
   req.table = "r";
-  req.column = "a";
-  req.low = KeyScalar::I64(0);
-  req.high = KeyScalar::I64(kDomain);
+  req.predicates.push_back({"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)});
+  req.results.push_back({0, ""});
   dribble(EncodeMessage(3, req));
   const Frame f = raw.ReadFrame();
-  ASSERT_EQ(f.type, MsgType::kCountResult);
-  CountResult res;
+  ASSERT_EQ(f.type, MsgType::kExecuteQueryResult);
+  ExecuteQueryResult res;
   ASSERT_TRUE(DecodeMessage(f, &res));
-  EXPECT_EQ(res.count, data.size());
+  ASSERT_EQ(res.values.size(), 1u);
+  EXPECT_EQ(res.values[0].i, static_cast<int64_t>(data.size()));
   server.Stop();
 }
 
@@ -608,13 +617,13 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
     RawConn raw(server.port());
     raw.Send(EncodeMessage(1, Hello{}));
     EXPECT_EQ(raw.ReadFrame().type, MsgType::kHelloAck);
-    // First half of a valid CountRange frame, then RST.
-    CountRangeReq req;
+    // First half of a valid ExecuteQuery frame, then RST.
+    ExecuteQueryReq req;
     req.session_id = 1;
     req.table = "r";
-    req.column = "a";
-    req.low = KeyScalar::I64(0);
-    req.high = KeyScalar::I64(kDomain);
+    req.predicates.push_back(
+        {"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)});
+    req.results.push_back({0, ""});
     const std::vector<uint8_t> frame = EncodeMessage(2, req);
     raw.Send({frame.begin(), frame.begin() + frame.size() / 2});
     raw.Reset();
@@ -631,17 +640,17 @@ TEST(Server, ResetMidFrameLeavesServerHealthy) {
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
-  EXPECT_EQ(client.CountRange(sid, "r", "a", 0, kDomain), data.size());
+  EXPECT_EQ(test::WireCount(client, sid, "r", "a", 0, kDomain), data.size());
   server.Stop();
 }
 
-/// Shared scans answer concurrent same-column counts bit-equal to the
-/// engine, and actually coalesce under pipelining.
-TEST(Server, SharedScanCoalescesConcurrentCountsBitEqual) {
+/// Pipelined same-column counts all on the wire at once answer bit-equal
+/// to the oracle.
+TEST(Server, PipelinedSameColumnCountsBitEqual) {
   Database db(SmallDbOptions());
   const auto data = test::MakeUniform(100000, kDomain, 33);
   db.LoadColumn("r", "a", data);
-  HolixServer server(db);  // shared_scans defaults on
+  HolixServer server(db);
   server.Start();
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
@@ -654,17 +663,131 @@ TEST(Server, SharedScanCoalescesConcurrentCountsBitEqual) {
     const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
     const int64_t hi = lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 2));
     ranges.emplace_back(lo, hi);
-    ids.push_back(client.SendCountRange(sid, "r", "a", lo, hi));
+    ids.push_back(test::SendWireCount(client, sid, "r", "a", lo, hi));
   }
   for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(client.AwaitCount(ids[i]),
+    EXPECT_EQ(test::AwaitWireCount(client, ids[i]),
               test::NaiveCount(data, ranges[i].first, ranges[i].second))
         << "request " << i;
   }
-  // Every count went through the coalescer; pipelined arrivals batched.
-  EXPECT_EQ(server.SharedScanRequests(), 64u);
-  EXPECT_GE(server.SharedScanBatches(), 1u);
-  EXPECT_LE(server.SharedScanBatches(), 64u);
+  server.Stop();
+}
+
+/// Every wire read is one engine query: K count-only ExecuteQuery frames,
+/// pipelined from concurrent clients onto one column, raise the per-mode
+/// query counter and the latency histogram's count by exactly K.
+TEST(Server, EveryWireCountIsCountedAsAQuery) {
+  Database db(SmallDbOptions());
+  const auto data = test::MakeUniform(50000, kDomain, 37);
+  db.LoadColumn("r", "a", data);
+  HolixServer server(db);
+  server.Start();
+  const uint16_t port = server.port();
+
+  const std::string queries = "holix_queries_total{mode=\"adaptive\"}";
+  const std::string seconds = "holix_query_seconds{mode=\"adaptive\"}";
+  auto latency_count = [&](const obs::MetricsSnapshot& snap) -> uint64_t {
+    for (const obs::HistogramSnapshot& h : snap.histograms) {
+      if (h.name == seconds) return h.Total();
+    }
+    return 0;
+  };
+  const obs::MetricsSnapshot before = db.MetricsSnapshot();
+
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 16;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      HolixClient client;
+      client.Connect("127.0.0.1", port);
+      const uint64_t sid = client.OpenSession();
+      Rng rng(200 + c);
+      std::vector<uint64_t> ids;
+      std::vector<std::pair<int64_t, int64_t>> ranges;
+      for (int i = 0; i < kPerClient; ++i) {
+        const int64_t lo = static_cast<int64_t>(rng.Below(kDomain));
+        const int64_t hi =
+            lo + 1 + static_cast<int64_t>(rng.Below(kDomain / 4));
+        ranges.emplace_back(lo, hi);
+        ids.push_back(test::SendWireCount(client, sid, "r", "a", lo, hi));
+      }
+      for (size_t i = 0; i < ids.size(); ++i) {
+        if (test::AwaitWireCount(client, ids[i]) !=
+            test::NaiveCount(data, ranges[i].first, ranges[i].second)) {
+          failures.fetch_add(1);
+        }
+      }
+      client.CloseSession(sid);
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  constexpr uint64_t kQueries = kClients * kPerClient;
+  const obs::MetricsSnapshot after = db.MetricsSnapshot();
+  EXPECT_EQ(after.CounterValue(queries) - before.CounterValue(queries),
+            kQueries);
+  EXPECT_EQ(latency_count(after) - latency_count(before), kQueries);
+  server.Stop();
+}
+
+/// The per-primitive read frames retired in protocol v5 (types 7-14) still
+/// parse as frames; each is answered with a kUnknownMessage Error, and the
+/// same connection keeps serving ExecuteQuery.
+TEST(Server, RetiredReadFramesAnsweredWithUnknownMessage) {
+  Database db(SmallDbOptions());
+  const auto data = test::MakeUniform(5000, kDomain, 38);
+  db.LoadColumn("r", "a", data);
+  HolixServer server(db);
+  server.Start();
+  RawConn raw(server.port());
+  raw.Send(EncodeMessage(1, Hello{}));
+  ASSERT_EQ(raw.ReadFrame().type, MsgType::kHelloAck);
+  raw.Send(EncodeMessage(2, OpenSessionReq{}));
+  OpenSessionAck open;
+  ASSERT_TRUE(DecodeMessage(raw.ReadFrame(), &open));
+
+  // Type 7 (CountRange) and 13 (SelectRowIds) with their old well-formed
+  // payload: session id, table, column and two typed bounds.
+  for (const uint8_t type : {uint8_t{7}, uint8_t{13}}) {
+    WireWriter payload;
+    payload.U64(open.session_id);
+    payload.Str("r");
+    payload.Str("a");
+    payload.Scalar(KeyScalar::I64(0));
+    payload.Scalar(KeyScalar::I64(kDomain));
+    WireWriter frame;
+    frame.U32(static_cast<uint32_t>(payload.bytes().size()));
+    frame.U8(type);
+    frame.U64(10 + type);
+    std::vector<uint8_t> bytes = frame.Take();
+    bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
+    raw.Send(bytes);
+
+    const Frame f = raw.ReadFrame();
+    ASSERT_EQ(f.type, MsgType::kError) << "type " << int{type};
+    EXPECT_EQ(f.request_id, 10u + type);
+    ErrorMsg err;
+    ASSERT_TRUE(DecodeMessage(f, &err));
+    EXPECT_EQ(err.code, ErrorCode::kUnknownMessage) << "type " << int{type};
+  }
+
+  ExecuteQueryReq req;
+  req.session_id = open.session_id;
+  req.table = "r";
+  req.predicates.push_back({"a", KeyScalar::I64(0), KeyScalar::I64(kDomain)});
+  req.results.push_back({0, ""});
+  raw.Send(EncodeMessage(30, req));
+  const Frame f = raw.ReadFrame();
+  ASSERT_EQ(f.type, MsgType::kExecuteQueryResult);
+  EXPECT_EQ(f.request_id, 30u);
+  ExecuteQueryResult res;
+  ASSERT_TRUE(DecodeMessage(f, &res));
+  ASSERT_EQ(res.values.size(), 1u);
+  EXPECT_EQ(res.values[0].i, static_cast<int64_t>(data.size()));
   server.Stop();
 }
 
@@ -682,11 +805,18 @@ TEST(Server, GetStatsMatchesInProcessSnapshot) {
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
 
-  // Generate telemetry: synchronous queries, fully drained before the
-  // snapshot (each call returns only after its response frame arrived).
+  // Generate telemetry: synchronous count + sum queries (the sum scans
+  // the qualifying piece, so the scan-bytes counter moves), fully drained
+  // before the snapshot (each call returns only after its response frame
+  // arrived).
   uint64_t total = 0;
   for (int i = 0; i < 16; ++i) {
-    total += client.CountRange(sid, "r", "a", i * 1000, i * 1000 + 50000);
+    const int64_t lo = i * 1000;
+    total += static_cast<uint64_t>(
+        client.ExecuteQuery(sid, "r", {{"a", lo, lo + 50000}},
+                            {{0, ""}, {1, "a"}})
+            .values[0]
+            .i);
   }
   EXPECT_GT(total, 0u);
 
@@ -723,7 +853,9 @@ TEST(Server, HttpMetricsEndpointServesPrometheusText) {
   HolixClient client;
   client.Connect("127.0.0.1", server.port());
   const uint64_t sid = client.OpenSession();
-  client.CountRange(sid, "r", "a", 0, kDomain / 2);
+  // A sum scans the qualifying piece, so the scan-bytes counter below is
+  // this test's own traffic (a count is position arithmetic only).
+  test::WireQuery(client, sid, "r", "a", 0, kDomain / 2, {1, "a"});
 
   auto http_get = [&](const std::string& path) {
     RawConn raw(server.metrics_port());
@@ -743,7 +875,10 @@ TEST(Server, HttpMetricsEndpointServesPrometheusText) {
   EXPECT_NE(resp.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(resp.find("holix_queries_total"), std::string::npos);
   EXPECT_NE(resp.find("holix_scan_bytes_total"), std::string::npos);
-  EXPECT_NE(resp.find("_bucket{le="), std::string::npos);
+  // The wire query above is an engine query, so its latency histogram
+  // renders bucket lines.
+  EXPECT_NE(resp.find("holix_query_seconds_bucket{mode=\"adaptive\",le="),
+            std::string::npos);
   EXPECT_NE(http_get("/nope").find("HTTP/1.0 404"), std::string::npos);
 
   // Scrapes are not protocol connections or requests.

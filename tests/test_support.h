@@ -2,7 +2,8 @@
 /// \brief Shared deterministic test substrate.
 ///
 /// Three building blocks keep the suites hermetic on any machine,
-/// including single-core CI containers:
+/// including single-core CI containers (plus one-predicate wire query
+/// helpers for the network suites):
 ///  * seeded data generators (no global RNG state, identical data on
 ///    every run),
 ///  * a temp-directory fixture that creates and removes a private
@@ -28,6 +29,7 @@
 #include "cracking/cracker_column.h"
 #include "holistic/adaptive_index.h"
 #include "holistic/holistic_engine.h"
+#include "server/client.h"
 #include "util/rng.h"
 
 namespace holix {
@@ -141,6 +143,41 @@ inline bool WaitForProgress(
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+// --- Wire query helpers ---------------------------------------------------
+
+/// One-predicate ExecuteQuery: low <= column < high over \p table,
+/// answering the single result request \p result (default: count).
+inline net::ExecuteQueryResult WireQuery(
+    net::HolixClient& client, uint64_t session, const std::string& table,
+    const std::string& column, KeyScalar low, KeyScalar high,
+    net::QueryResultSpecWire result = {0, ""}) {
+  return client.ExecuteQuery(session, table, {{column, low, high}},
+                             {std::move(result)});
+}
+
+/// select count(*) where low <= column < high, over the wire.
+inline uint64_t WireCount(net::HolixClient& client, uint64_t session,
+                          const std::string& table, const std::string& column,
+                          KeyScalar low, KeyScalar high) {
+  return static_cast<uint64_t>(
+      WireQuery(client, session, table, column, low, high).values[0].i);
+}
+
+/// Pipelined form of WireCount: send now, collect with AwaitWireCount.
+inline uint64_t SendWireCount(net::HolixClient& client, uint64_t session,
+                              const std::string& table,
+                              const std::string& column, KeyScalar low,
+                              KeyScalar high) {
+  return client.SendExecuteQuery(session, table, {{column, low, high}},
+                                 {{0, ""}});
+}
+
+inline uint64_t AwaitWireCount(net::HolixClient& client,
+                               uint64_t request_id) {
+  return static_cast<uint64_t>(
+      client.AwaitExecuteQuery(request_id).values[0].i);
 }
 
 }  // namespace test
