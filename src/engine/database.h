@@ -104,7 +104,7 @@ class Database {
   // The one entry every read reduces to: a QuerySpec carries a conjunction
   // of 1..N range predicates plus the requested results, and the executor
   // plans the conjunction (most selective predicate first, estimated from
-  // cracker piece boundaries; sorted-positional merge or base-column
+  // cracker piece boundaries; bitmap intersection or base-column
   // probes for the rest — every touched predicate column cracks as a side
   // effect in the adaptive modes). The per-primitive calls below are thin
   // shims building one-predicate specs.

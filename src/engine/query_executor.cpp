@@ -12,6 +12,7 @@
 #include "cracking/pre_crack.h"
 #include "engine/scalar_convert.h"
 #include "obs/metrics.h"
+#include "storage/row_set.h"
 #include "util/timer.h"
 
 namespace holix {
@@ -155,25 +156,6 @@ KeyScalar WrapSum(typename KeyTraits<T>::Sum s) {
   }
 }
 
-/// Intersects two ascending rowid lists (sorted-positional merge).
-PositionList SortedIntersect(const PositionList& a, const PositionList& b) {
-  PositionList out;
-  out.reserve(std::min(a.size(), b.size()));
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      out.push_back(a[i]);
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
 StoreState ToStoreState(ConfigKind kind) {
   switch (kind) {
     case ConfigKind::kActual:
@@ -238,14 +220,11 @@ class ExecutorBase : public QueryExecutor {
     if (spec.predicates.size() == 1 && spec.results.size() == 1) {
       return ExecuteLegacyShape(spec, qctx);
     }
-    PositionList rows;
-    if (spec.predicates.size() == 1) {
-      const RangePredicate& p = spec.predicates[0];
-      rows = SelectRowIds(p.column, p.low, p.high, qctx);
-      std::sort(rows.begin(), rows.end());
-    } else {
-      rows = SelectConjunction(spec, qctx);  // already ascending
-    }
+    const RangePredicate& p = spec.predicates[0];
+    const RowSet rows =
+        spec.predicates.size() == 1
+            ? RowSet(SelectRowIds(p.column, p.low, p.high, qctx))
+            : SelectConjunction(spec, qctx);
     // Rows appended by Insert participate like any other row: their values
     // live in the per-column pending registry rather than the base arrays,
     // and every positional path below (probe filters, materialized sums)
@@ -253,7 +232,7 @@ class ExecutorBase : public QueryExecutor {
     // conjunction still excludes a single-column-inserted row naturally —
     // the row has no value in the other predicate columns, so no index or
     // registry on those columns can produce its rowid.
-    return MaterializeResults(spec, std::move(rows));
+    return MaterializeResults(spec, rows);
   }
 
   /// Default late reconstruction: materialize rowids via the mode's select,
@@ -386,16 +365,15 @@ class ExecutorBase : public QueryExecutor {
 
   // --- Multi-predicate planning ------------------------------------------
 
-  /// A probed conjunct's estimate must exceed the candidate list by this
-  /// factor before direct base probes beat a sorted-merge intersection
-  /// (probing is O(|candidates|); the merge pays materialize + sort of the
-  /// conjunct's own, possibly huge, qualifying set).
+  /// A probed conjunct's estimate must exceed the candidate count by this
+  /// factor before direct base probes beat a bitmap intersection (probing
+  /// is O(|candidates|); the merge pays materializing the conjunct's own,
+  /// possibly huge, qualifying set).
   static constexpr size_t kProbeFactor = 4;
 
   /// Picks the most selective conjunct by estimate, drives the mode's
   /// select with it, then applies the remaining conjuncts cheapest-first.
-  PositionList SelectConjunction(const QuerySpec& spec,
-                                 const QueryContext& qctx) {
+  RowSet SelectConjunction(const QuerySpec& spec, const QueryContext& qctx) {
     struct Ranked {
       const RangePredicate* pred;
       size_t est;
@@ -409,9 +387,8 @@ class ExecutorBase : public QueryExecutor {
                      [](const Ranked& a, const Ranked& b) {
                        return a.est < b.est;
                      });
-    PositionList cand = SelectRowIds(order[0].pred->column, order[0].pred->low,
-                                     order[0].pred->high, qctx);
-    std::sort(cand.begin(), cand.end());
+    RowSet cand(SelectRowIds(order[0].pred->column, order[0].pred->low,
+                             order[0].pred->high, qctx));
     for (size_t i = 1; i < order.size() && !cand.empty(); ++i) {
       const RangePredicate& p = *order[i].pred;
       ColumnEntry& e = Entry(p.column);
@@ -438,9 +415,7 @@ class ExecutorBase : public QueryExecutor {
       } else {
         merges.Inc();
         if (trace != nullptr) ++trace->merge_intersects;
-        PositionList other = SelectRowIds(p.column, p.low, p.high, qctx);
-        std::sort(other.begin(), other.end());
-        cand = SortedIntersect(cand, other);
+        cand.IntersectWith(SelectRowIds(p.column, p.low, p.high, qctx));
       }
     }
     return cand;
@@ -526,32 +501,28 @@ class ExecutorBase : public QueryExecutor {
   /// it through the column's adaptive index; a row never inserted here has
   /// no value and is dropped.
   void FilterByBaseProbe(ColumnEntry& e, KeyScalar lo, KeyScalar hi,
-                         PositionList* cand) {
+                         RowSet* cand) {
     DispatchIndexableType(e.type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
       const Bounds<T> b = ClampBounds<T>(lo, hi);
       if (b.empty) {
-        cand->clear();
+        *cand = RowSet();
         return;
       }
       const Column<T>& base = *e.runtime<T>().base;
       const T* data = base.data();
       const size_t n = base.size();
-      size_t keep = 0;
-      for (RowId rid : *cand) {
+      cand->RetainIf([&](RowId rid) {
         T v{};
         if (rid < n) {
           v = data[rid];
         } else if (!AppendedValueFor<T>(e, rid, &v)) {
-          continue;
+          return false;
         }
-        const bool hit =
-            !KeyTraits<T>::Less(v, b.lo) &&
-            (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
-                           : KeyTraits<T>::Less(v, b.hi));
-        if (hit) (*cand)[keep++] = rid;
-      }
-      cand->resize(keep);
+        return !KeyTraits<T>::Less(v, b.lo) &&
+               (b.closed_high ? !KeyTraits<T>::Less(b.hi, v)
+                              : KeyTraits<T>::Less(v, b.hi));
+      });
     });
   }
 
@@ -591,16 +562,13 @@ class ExecutorBase : public QueryExecutor {
     return out;
   }
 
-  /// Computes every requested result from the (ascending) qualifying row
-  /// set: one shared pass per aggregate, positionally through the base
-  /// column, so sums are bit-identical across modes and predicate orders.
-  /// Takes the row list by value: it is the terminal consumer, so a
-  /// requested kRowIds result moves it into the answer instead of copying
-  /// a possibly multi-million-entry list.
-  QueryResult MaterializeResults(const QuerySpec& spec, PositionList rows) {
+  /// Computes every requested result from the qualifying row set: one
+  /// pass per aggregate in ascending rowid order, positionally through the
+  /// base column, so sums are bit-identical across modes and predicate
+  /// orders.
+  QueryResult MaterializeResults(const QuerySpec& spec, const RowSet& rows) {
     QueryResult out;
     out.values.reserve(spec.results.size());
-    bool want_rowids = false;
     for (const ResultSpec& r : spec.results) {
       switch (r.kind) {
         case ResultRequest::kCount:
@@ -608,7 +576,7 @@ class ExecutorBase : public QueryExecutor {
               KeyScalar::I64(static_cast<int64_t>(rows.size())));
           break;
         case ResultRequest::kRowIds:
-          want_rowids = true;
+          out.rowids = rows.ToList();
           out.values.push_back(
               KeyScalar::I64(static_cast<int64_t>(rows.size())));
           break;
@@ -621,22 +589,21 @@ class ExecutorBase : public QueryExecutor {
                 const Column<P>& proj = *pe.runtime<P>().base;
                 const size_t n = proj.size();
                 typename KeyTraits<P>::Sum sum = 0;
-                for (RowId rid : rows) {
+                rows.ForEach([&](RowId rid) {
                   P v{};
                   if (rid < n) {
                     v = proj[rid];
                   } else if (!AppendedValueFor<P>(pe, rid, &v)) {
-                    continue;  // row was never inserted into this attribute
+                    return;  // row was never inserted into this attribute
                   }
                   sum += static_cast<typename KeyTraits<P>::Sum>(v);
-                }
+                });
                 return WrapSum<P>(sum);
               }));
           break;
         }
       }
     }
-    if (want_rowids) out.rowids = std::move(rows);
     return out;
   }
 

@@ -67,12 +67,12 @@ class QueryExecutor {
   /// selectivity — cracker piece boundaries when an adaptive index exists,
   /// sorted-index counts when one is built, [min, max] rank interpolation
   /// otherwise — the most selective predicate drives the mode's select,
-  /// and each remaining conjunct is applied either by sorted-positional
-  /// merge against its own (index-refining) select or, when its estimated
-  /// selectivity is high, by direct value probes of the base column; in
-  /// cracking modes a probed predicate's index is still cracked at the
-  /// query bounds so repetition keeps getting faster on every predicate
-  /// column.
+  /// and each remaining conjunct is applied to the qualifying row set (a
+  /// rowid bitmap, storage/row_set.h) either by intersecting it with its
+  /// own (index-refining) select or, when its estimated selectivity is
+  /// high, by direct value probes of the base column; in cracking modes a
+  /// probed predicate's index is still cracked at the query bounds so
+  /// repetition keeps getting faster on every predicate column.
   ///
   /// Throws std::invalid_argument for an empty conjunction, an empty
   /// result list, a sum request without a column, or columns spanning

@@ -20,10 +20,15 @@
 ///    native operator — bit-for-bit the legacy primitive, including the
 ///    cracked SumRange fast path and the mode's native rowid order.
 ///  * Every other shape (N >= 2 predicates, or several results) first
-///    materializes the qualifying row set, sorted ascending by rowid, and
-///    computes each aggregate positionally through the base column in that
-///    order — so counts, rowids AND double sums are bit-identical across
-///    all seven execution modes and across predicate orderings.
+///    materializes the qualifying row set as a dense bitmap over the rowid
+///    space (RowSet, storage/row_set.h: one bit per rowid — 128 KiB at
+///    2^20 rows — sized to the largest rowid present, at most two live
+///    per running query), built straight from each select's unsorted
+///    rowid list. Walking its set bits yields the rowids ascending: the
+///    count is a popcount, each aggregate runs positionally through the
+///    base column in ascending rowid order, and rowids come out sorted —
+///    so counts, rowids AND double sums are bit-identical across all
+///    seven execution modes and across predicate orderings.
 ///  * Rows appended by a single-column Insert participate on the column
 ///    they were inserted into: their values live in that column's pending
 ///    registry (which survives Ripple merges), and the positional paths —
@@ -123,8 +128,9 @@ struct QuerySpec {
 /// kCount and kRowIds carry the qualifying-row count as an i64 scalar;
 /// kSum/kProjectSum carry the sum in the summed column's carrier type
 /// (double columns sum to f64). `rowids` is filled when any kRowIds was
-/// requested (sorted ascending except on the one-predicate/one-result
-/// legacy path, which keeps the mode's native order).
+/// requested (ascending, read off the row-set bitmap, except on the
+/// one-predicate/one-result legacy path, which keeps the mode's native
+/// order).
 struct QueryResult {
   std::vector<KeyScalar> values;
   PositionList rowids;

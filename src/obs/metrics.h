@@ -212,7 +212,7 @@ struct QueryTrace {
   uint16_t predicates = 0;   ///< conjunction width
   uint16_t results = 0;      ///< result requests
   uint32_t probe_filters = 0;     ///< planner chose base-probe
-  uint32_t merge_intersects = 0;  ///< planner chose sorted-intersect
+  uint32_t merge_intersects = 0;  ///< planner chose bitmap intersect
   uint32_t refine_hints = 0;      ///< RefineHint cracks issued
   uint32_t pieces_created = 0;    ///< boundaries inserted by this query
   uint64_t bytes_scanned = 0;     ///< piece-scan bytes

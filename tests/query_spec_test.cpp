@@ -4,8 +4,10 @@
 /// empty conjunctions / empty result lists / column-less sums,
 /// predicate-order independence of every result (double sums bit-exact),
 /// per-predicate index refinement under repetition, concurrent
-/// multi-predicate queries racing inserts, and the name-based F64
-/// convenience overloads (SelectRowIdsF64 / ProjectSumF64).
+/// multi-predicate queries racing inserts, merge-path conjuncts holding
+/// appended rowids past the driving set, a driving predicate selecting
+/// nothing, and the name-based F64 convenience overloads
+/// (SelectRowIdsF64 / ProjectSumF64).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "obs/metrics.h"
 #include "test_support.h"
 
 namespace holix {
@@ -62,8 +65,8 @@ bool HitF64(double v, double lo, double hi) {
 
 /// One random conjunction over (a:int64, b:int64, d:double) plus the
 /// expected answers, computed by a naive full-scan conjunction in
-/// ascending row order (the same order the engine's sorted qualifying set
-/// induces, so double sums must match bit-for-bit).
+/// ascending row order (the order the engine walks its qualifying row set
+/// in, so double sums must match bit-for-bit).
 struct ConjCase {
   int64_t a_lo, a_hi;
   int64_t b_lo, b_hi;
@@ -526,6 +529,77 @@ TEST(QuerySpec, ConjunctionAfterInsertBitExactInAllModes) {
       const QueryResult sr = db.Execute(single);
       EXPECT_EQ(sr.values[0].i, static_cast<int64_t>(single_count) + 1);
       EXPECT_EQ(sr.values[1].i, single_sum + 5000);
+    }
+  }
+}
+
+TEST(QuerySpec, MergeConjunctWithAppendedRowsPastTheDrivingSet) {
+  // The driving conjunct on `a` selects base rows only; the merge-path
+  // conjunct on `b` also holds rows appended by Insert, whose rowids lie
+  // past every rowid of the driving set. Those rows have no value in `a`
+  // and must drop out of the intersection, leaving the base-data answer.
+  const size_t rows = 4000;
+  const auto a = MakeUniform(rows, kDomain, 75);
+  const auto b = MakeUniform(rows, kDomain, 76);
+  ConjCase c{};
+  c.a_lo = 0;
+  c.a_hi = 400000;
+  c.b_lo = 0;
+  c.b_hi = 600000;
+  c.use_d = false;
+  c.ComputeOracle(a, b, std::vector<double>(rows));
+  ASSERT_GT(c.count, 0u);
+  obs::Counter& merges =
+      obs::MetricsRegistry::Global().GetCounter("holix_planner_merge_total");
+  for (ExecMode m : {ExecMode::kAdaptive, ExecMode::kStochastic,
+                     ExecMode::kCCGI, ExecMode::kHolistic}) {
+    SCOPED_TRACE(static_cast<int>(m));
+    Database db(ModeOptions(m));
+    db.LoadColumn("t", "a", a);
+    db.LoadColumn("t", "b", b);
+    const ColumnHandle ha = db.Resolve("t", "a");
+    const ColumnHandle hb = db.Resolve("t", "b");
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_GE(db.Insert(hb, 100 + i), rows);  // qualifies on b only
+    }
+    QuerySpec spec;
+    spec.Where(ha, c.a_lo, c.a_hi).Where(hb, c.b_lo, c.b_hi);
+    spec.Count().Sum(hb).RowIds();
+    const uint64_t merges_before = merges.Value();
+    const QueryResult r = db.Execute(spec);
+    EXPECT_GT(merges.Value(), merges_before);  // b took the merge path
+    EXPECT_EQ(r.values[0].i, static_cast<int64_t>(c.count));
+    EXPECT_EQ(r.values[1].i, c.sum_b);
+    EXPECT_EQ(r.values[2].i, static_cast<int64_t>(c.count));
+    EXPECT_EQ(r.rowids, c.rowids);
+  }
+}
+
+TEST(QuerySpec, ConjunctionWhoseDrivingPredicateSelectsNothing) {
+  // The most selective conjunct qualifies no row: every mode answers an
+  // empty set (count 0, sums 0, no rowids) without consulting the rest.
+  const size_t rows = 3000;
+  const auto a = MakeUniform(rows, kDomain, 77);
+  const auto b = MakeUniform(rows, kDomain, 78);
+  for (ExecMode m : kAllModes) {
+    SCOPED_TRACE(static_cast<int>(m));
+    Database db(ModeOptions(m));
+    db.LoadColumn("t", "a", a);
+    db.LoadColumn("t", "b", b);
+    const ColumnHandle ha = db.Resolve("t", "a");
+    const ColumnHandle hb = db.Resolve("t", "b");
+    for (const int64_t lo : {kDomain + 10, int64_t{500}}) {
+      QuerySpec spec;  // above the domain, then an empty [500, 500)
+      spec.Where(ha, lo, lo == 500 ? lo : lo + 1000)
+          .Where(hb, int64_t{0}, kDomain)
+          .Count()
+          .Sum(hb)
+          .RowIds();
+      const QueryResult r = db.Execute(spec);
+      EXPECT_EQ(r.values[0].i, 0);
+      EXPECT_EQ(r.values[1].i, 0);
+      EXPECT_EQ(r.values[2].i, 0);
+      EXPECT_TRUE(r.rowids.empty());
     }
   }
 }
